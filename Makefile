@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race verify lint vet chaos migrate-chaos soak bench bench-batch bench-scale bench-scale-smoke bench-sched bench-sched-smoke fuzz pool repro figures experiments clean help
+.PHONY: all build test race verify lint vet chaos migrate-chaos soak bench bench-batch bench-scale bench-sched bench-check fuzz pool repro figures experiments clean help
 
 all: build test
 
@@ -19,12 +19,11 @@ help:
 	@echo "  migrate-chaos  live-migration suite: source killed at every protocol phase, under -race"
 	@echo "  soak         10k mixed ops at ~1% fault rate, leak-checked, under -race"
 	@echo "  bench        run all benchmarks"
-	@echo "  bench-batch  run the batched-path inference bench, refresh BENCH_batching.json"
-	@echo "  bench-scale  run the 10^4-10^5 session scale harness, refresh BENCH_loadscale.json"
-	@echo "  bench-scale-smoke  CI freshness check: re-run the <=10^4 scale scenarios"
-	@echo "  bench-sched  run the WFQ-vs-FIFO starvation bench, refresh BENCH_sched.json"
-	@echo "  bench-sched-smoke  CI freshness check: re-run the scheduler scenarios"
-	@echo "  fuzz         short fuzzing pass over the wire-protocol decoders"
+	@echo "  bench-batch  rcuda-bench batch suite: refresh BENCH_batching.json"
+	@echo "  bench-scale  rcuda-bench scale suite (10^4-10^5 sessions): refresh BENCH_loadscale.json"
+	@echo "  bench-sched  rcuda-bench sched suite (WFQ vs FIFO): refresh BENCH_sched.json"
+	@echo "  bench-check  CI freshness check of all three BENCH_*.json files (scale capped at 10^4)"
+	@echo "  fuzz         fuzz every wire-protocol Fuzz* target for FUZZTIME each (default 30s)"
 	@echo "  pool         broker demo: 3 local daemons, one killed mid-batch"
 	@echo "  repro        regenerate every table and figure of the paper on stdout"
 	@echo "  figures      render the figures as SVGs under figs/"
@@ -89,43 +88,34 @@ soak:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Deterministic batched-path trajectory: the DNN inference loop over both
-# testbed networks, batched and unbatched, on the simulation clock. Commit
-# the refreshed BENCH_batching.json so regressions show up in review.
+# Deterministic virtual-clock trajectories, one rcuda-bench suite each (see
+# cmd/rcuda-bench): the batched-path DNN inference loop, the 10^4-10^5
+# session scale harness, and the WFQ-vs-FIFO starvation bench. Every suite
+# enforces its gates before writing; commit the refreshed BENCH_*.json so
+# drift shows up in review.
 bench-batch:
-	$(GO) run ./cmd/rcuda-bench-batch -out BENCH_batching.json
+	$(GO) run ./cmd/rcuda-bench -suite batch
 
-# Deterministic scale trajectory: 10^4-session smoke scenarios plus the
-# 10^5-session autoscaled run, all on the virtual clock. Commit the
-# refreshed BENCH_loadscale.json so placement-behavior drift shows up in
-# review.
 bench-scale:
-	$(GO) run ./cmd/rcuda-loadgen -out BENCH_loadscale.json
+	$(GO) run ./cmd/rcuda-bench -suite scale
 
-# CI freshness check: re-run only the scenarios at or under 10^4 sessions
-# and fail if the committed BENCH_loadscale.json does not match.
-bench-scale-smoke:
-	$(GO) run ./cmd/rcuda-loadgen -check -cap 10000 -out BENCH_loadscale.json
-
-# Deterministic scheduler bench: the mixed-tenant starvation scenario under
-# FIFO vs WFQ on the virtual clock, plus weighted-share proportionality.
-# The command enforces the fairness gates (realtime p99 >= 5x better at
-# <= 10% throughput delta) and two-run determinism before writing. Commit
-# the refreshed BENCH_sched.json so scheduling drift shows up in review.
 bench-sched:
-	$(GO) run ./cmd/rcuda-bench-sched -out BENCH_sched.json
+	$(GO) run ./cmd/rcuda-bench -suite sched
 
-# CI freshness check: re-run the scheduler scenarios (seconds of virtual
-# time, fast on the wall clock) and fail if BENCH_sched.json is stale.
-bench-sched-smoke:
-	$(GO) run ./cmd/rcuda-bench-sched -check -out BENCH_sched.json
+# CI freshness check: re-run every suite (scale scenarios over 10^4
+# sessions are presence-checked only) and fail if a committed file is
+# stale or a gate breaks.
+bench-check:
+	$(GO) run ./cmd/rcuda-bench -check
 
-# Short fuzzing pass over the wire-protocol decoders.
+# Fuzz every Fuzz* target of the wire-protocol package, one anchored run
+# each, for FUZZTIME apiece (make fuzz FUZZTIME=120s for a long pass).
+FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/protocol/
-	$(GO) test -fuzz=FuzzDecodeStatsReply -fuzztime=30s ./internal/protocol/
-	$(GO) test -fuzz=FuzzTryDecodeSessionRestore -fuzztime=30s ./internal/protocol/
-	$(GO) test -fuzz=FuzzDecodeCheckpoint -fuzztime=30s ./internal/protocol/
+	@set -e; for t in $$($(GO) test -list '^Fuzz' ./internal/protocol/ | grep '^Fuzz'); do \
+		echo "fuzz $$t for $(FUZZTIME)"; \
+		$(GO) test -fuzz "^$$t\$$" -fuzztime=$(FUZZTIME) ./internal/protocol/; \
+	done
 
 # Broker demo: spawn three local daemons, run a verified MM/FFT batch through
 # the pool, and kill one server mid-job to show failover with clean results.

@@ -35,6 +35,8 @@ func DefaultSeededRandConfig() SeededRandConfig {
 			"internal/faults",
 			"internal/cluster",
 			"internal/broker",
+			"internal/sched",
+			"internal/contention",
 		},
 		WallTypes: map[string]string{"internal/vclock": "Wall"},
 	}

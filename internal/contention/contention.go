@@ -3,13 +3,13 @@
 // network contention caused by multiple applications running in a cluster
 // featuring several GPGPU servers will also be covered in future work").
 //
-// Each client is a discrete-event process replaying its case study's exact
-// message schedule. Two resources serialize the shared hardware: the
-// server's network link (one frame on the wire at a time, FIFO) and the
-// GPU (PCIe transfers and kernels execute exclusively, FIFO across
-// sessions, as the daemon's time multiplexing implies). Client-local work
-// — data generation and marshaling — proceeds in parallel on each client's
-// own node.
+// Each client replays its case study's exact message schedule as a flat
+// list of steps on one des.EventLoop. Two resources serialize the shared
+// hardware: the server's network link (one frame on the wire at a time,
+// FIFO) and the GPU (PCIe transfers and kernels execute exclusively, FIFO
+// across sessions, as the daemon's time multiplexing implies). Client-local
+// work — data generation and marshaling — proceeds in parallel on each
+// client's own node.
 //
 // With one client the event-level execution collapses to the paper's
 // synchronous model, and a test asserts it matches workload.Run exactly.
@@ -62,61 +62,131 @@ func Run(p Params) (Result, error) {
 		return Result{}, fmt.Errorf("contention: non-positive size %d", p.Size)
 	}
 
-	sim := des.New()
-	link := sim.NewResource("link", 1)
-	gpuRes := sim.NewResource("gpu", 1)
+	loop := des.NewEventLoop()
+	link := &resource{loop: loop}
+	gpu := &resource{loop: loop}
 
-	prep := calib.DataGenTime(p.CS, p.Size) + calib.MarshalTime(p.CS, p.Size)
 	pcie := calib.PCIeTime(p.CS, p.Size)
 	kernel := calib.KernelTime(p.CS, p.Size)
-	schedule := workload.Schedule(p.CS, p.Size)
+	// Data generation and marshaling are node-local, fully parallel across
+	// clients.
+	steps := []step{{d: calib.DataGenTime(p.CS, p.Size) + calib.MarshalTime(p.CS, p.Size)}}
+	for _, msg := range workload.Schedule(p.CS, p.Size) {
+		// Request frame occupies the shared wire.
+		steps = append(steps, step{res: link, d: p.Link.WireTime(msg.Send)})
+		// Server-side device work, exclusive per GPU.
+		switch msg.Kind {
+		case workload.MsgMemcpyIn, workload.MsgMemcpyOut:
+			steps = append(steps, step{res: gpu, d: pcie})
+		case workload.MsgLaunch:
+			steps = append(steps, step{res: gpu, d: kernel})
+		}
+		// Response frame back over the shared wire.
+		if msg.Recv > 0 {
+			steps = append(steps, step{res: link, d: p.Link.WireTime(msg.Recv)})
+		}
+	}
+	steps = append(steps, step{d: calib.Mgmt})
 
-	finished := make([]time.Duration, p.Clients)
-	for c := 0; c < p.Clients; c++ {
+	finished := replay(loop, steps, p.Clients, p.Stagger)
+	return Result{
+		PerClient:       finished,
+		Makespan:        loop.Now(),
+		LinkUtilization: link.utilization(),
+		GPUUtilization:  gpu.utilization(),
+	}, nil
+}
+
+// step is one stage of a client's replay: hold for d, occupying res for
+// the whole hold unless res is nil (node-local work).
+type step struct {
+	res *resource
+	d   time.Duration
+}
+
+// replay starts clients copies of steps, client c arriving at c*stagger,
+// runs the loop dry, and returns each client's turnaround. A client still
+// unfinished then is blocked on a resource nobody will release — a
+// modeling bug, so replay panics.
+func replay(loop *des.EventLoop, steps []step, clients int, stagger time.Duration) []time.Duration {
+	finished := make([]time.Duration, clients)
+	done := 0
+	for c := 0; c < clients; c++ {
 		c := c
-		arrival := time.Duration(c) * p.Stagger
-		sim.Spawn(fmt.Sprintf("client-%d", c), arrival, func(proc *des.Process) {
-			start := proc.Now()
-			proc.Hold(prep) // node-local, fully parallel across clients
-			for _, msg := range schedule {
-				// Request frame occupies the shared wire.
-				link.Acquire(proc)
-				proc.Hold(p.Link.WireTime(msg.Send))
-				link.Release(proc)
-				// Server-side device work, exclusive per GPU.
-				switch msg.Kind {
-				case workload.MsgMemcpyIn:
-					gpuRes.Acquire(proc)
-					proc.Hold(pcie)
-					gpuRes.Release(proc)
-				case workload.MsgLaunch:
-					gpuRes.Acquire(proc)
-					proc.Hold(kernel)
-					gpuRes.Release(proc)
-				case workload.MsgMemcpyOut:
-					gpuRes.Acquire(proc)
-					proc.Hold(pcie)
-					gpuRes.Release(proc)
+		loop.At(time.Duration(c)*stagger, func() {
+			start := loop.Now()
+			var next func(i int)
+			next = func(i int) {
+				if i == len(steps) {
+					finished[c] = loop.Now() - start
+					done++
+					return
 				}
-				// Response frame back over the shared wire.
-				if msg.Recv > 0 {
-					link.Acquire(proc)
-					proc.Hold(p.Link.WireTime(msg.Recv))
-					link.Release(proc)
+				s := steps[i]
+				if s.res == nil {
+					loop.At(s.d, func() { next(i + 1) })
+					return
 				}
+				s.res.acquire(func() {
+					loop.At(s.d, func() {
+						s.res.release()
+						next(i + 1)
+					})
+				})
 			}
-			proc.Hold(calib.Mgmt)
-			finished[c] = proc.Now() - start
+			next(0)
 		})
 	}
-	makespan := sim.Run()
-	res := Result{
-		PerClient:       finished,
-		Makespan:        makespan,
-		LinkUtilization: link.Utilization(),
-		GPUUtilization:  gpuRes.Utilization(),
+	loop.Run()
+	if done < clients {
+		panic(fmt.Sprintf("contention: deadlock: %d clients blocked with no pending events", clients-done))
 	}
-	return res, nil
+	return finished
+}
+
+// resource is a capacity-one server with a FIFO wait queue: the network
+// link or the GPU. A release hands the unit straight to the longest
+// waiter, so the resource stays busy across the hand-off.
+type resource struct {
+	loop    *des.EventLoop
+	held    bool
+	waiters []func()
+	busy    time.Duration // completed busy spans
+	since   time.Duration // start of the current busy span
+}
+
+// acquire runs then once the unit is the caller's: synchronously if the
+// resource is free, else after every earlier waiter has released it.
+func (r *resource) acquire(then func()) {
+	if r.held {
+		r.waiters = append(r.waiters, then)
+		return
+	}
+	r.held = true
+	r.since = r.loop.Now()
+	then()
+}
+
+// release passes the unit to the head waiter at the current instant, or
+// frees it and closes the busy span.
+func (r *resource) release() {
+	if len(r.waiters) > 0 {
+		next := r.waiters[0]
+		r.waiters = r.waiters[1:]
+		r.loop.At(0, next)
+		return
+	}
+	r.held = false
+	r.busy += r.loop.Now() - r.since
+}
+
+// utilization is the busy fraction of the run so far, counted once every
+// holder has released.
+func (r *resource) utilization() float64 {
+	if r.loop.Now() == 0 {
+		return 0
+	}
+	return float64(r.busy) / float64(r.loop.Now())
 }
 
 // Sweep runs the experiment for every client count in [1, maxClients] and

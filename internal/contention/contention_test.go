@@ -2,11 +2,13 @@ package contention
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
 	"rcuda/internal/calib"
 	"rcuda/internal/cluster"
+	"rcuda/internal/des"
 	"rcuda/internal/netsim"
 	"rcuda/internal/workload"
 )
@@ -234,5 +236,151 @@ func TestDESConsistentWithClusterModel(t *testing.T) {
 	device := time.Duration(k) * (3*calib.PCIeTime(calib.MM, 8192) + calib.KernelTime(calib.MM, 8192))
 	if fine.Makespan < device {
 		t.Fatalf("event-level makespan %v below the device bound %v", fine.Makespan, device)
+	}
+}
+
+// The resource and replay tests below pin the engine semantics Run relies
+// on: exclusive FIFO hand-off, busy-span accounting, deadlock detection,
+// hold clamping, and seeded reproducibility.
+
+func TestResourceSerializes(t *testing.T) {
+	loop := des.NewEventLoop()
+	r := &resource{loop: loop}
+	turnaround := replay(loop, []step{{res: r, d: 10 * time.Millisecond}}, 3, 0)
+	if end := loop.Now(); end != 30*time.Millisecond {
+		t.Fatalf("three exclusive 10ms jobs end at %v, want 30ms", end)
+	}
+	for i, want := range []time.Duration{10, 20, 30} {
+		if turnaround[i] != want*time.Millisecond {
+			t.Fatalf("client %d finished after %v, want %v (FIFO violated?)", i, turnaround[i], want*time.Millisecond)
+		}
+	}
+	if u := r.utilization(); u < 0.999 || u > 1.001 {
+		t.Fatalf("utilization %v, want 1.0", u)
+	}
+}
+
+func TestResourceFIFOUnderContention(t *testing.T) {
+	loop := des.NewEventLoop()
+	r := &resource{loop: loop}
+	var order []string
+	// The holder takes the unit at t=0 for 10ms; two waiters queue at 1ms
+	// and 2ms and must be served in arrival order.
+	r.acquire(func() {
+		loop.At(10*time.Millisecond, r.release)
+	})
+	for i, name := range []string{"first", "second"} {
+		name := name
+		loop.At(time.Duration(i+1)*time.Millisecond, func() {
+			r.acquire(func() {
+				order = append(order, name)
+				loop.At(time.Millisecond, r.release)
+			})
+		})
+	}
+	loop.Run()
+	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
+		t.Fatalf("waiter order %v", order)
+	}
+	if end := loop.Now(); end != 12*time.Millisecond {
+		t.Fatalf("hand-offs should be back to back, run ended at %v", end)
+	}
+}
+
+// A release hands the unit over as a new event at the same instant: the
+// releaser's own continuation runs first, as a coroutine keeps running
+// until it next blocks, and the waiter is granted after it.
+func TestReleaseHandsOffAfterReleaserContinues(t *testing.T) {
+	loop := des.NewEventLoop()
+	r := &resource{loop: loop}
+	var order []string
+	var at []time.Duration
+	log := func(what string) {
+		order = append(order, what)
+		at = append(at, loop.Now())
+	}
+	r.acquire(func() {
+		loop.At(time.Millisecond, func() {
+			r.release()
+			log("releaser continues")
+		})
+	})
+	r.acquire(func() {
+		log("waiter granted")
+		r.release()
+	})
+	loop.Run()
+	if len(order) != 2 || order[0] != "releaser continues" || order[1] != "waiter granted" {
+		t.Fatalf("order %v", order)
+	}
+	if at[0] != time.Millisecond || at[1] != time.Millisecond {
+		t.Fatalf("hand-off left the instant: %v", at)
+	}
+}
+
+func TestUtilizationPartial(t *testing.T) {
+	loop := des.NewEventLoop()
+	r := &resource{loop: loop}
+	// Busy 10ms, then a 10ms node-local tail.
+	replay(loop, []step{{res: r, d: 10 * time.Millisecond}, {d: 10 * time.Millisecond}}, 1, 0)
+	if u := r.utilization(); u < 0.499 || u > 0.501 {
+		t.Fatalf("utilization %v, want 0.5", u)
+	}
+}
+
+func TestDeadlockPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("deadlock must panic")
+		}
+	}()
+	loop := des.NewEventLoop()
+	r := &resource{loop: loop}
+	r.acquire(func() {}) // never released; the client blocks forever
+	replay(loop, []step{{res: r, d: time.Millisecond}}, 1, 0)
+}
+
+func TestZeroAndNegativeHoldsClamp(t *testing.T) {
+	loop := des.NewEventLoop()
+	r := &resource{loop: loop}
+	steps := []step{{d: -5 * time.Millisecond}, {res: r, d: 0}, {res: r, d: -time.Second}, {d: 3 * time.Millisecond}}
+	turnaround := replay(loop, steps, 2, time.Millisecond)
+	if turnaround[0] != 3*time.Millisecond || turnaround[1] != 3*time.Millisecond {
+		t.Fatalf("turnarounds %v, want 3ms each: non-positive holds take no time", turnaround)
+	}
+	if u := r.utilization(); u != 0 {
+		t.Fatalf("utilization %v, want 0 for zero-length holds", u)
+	}
+}
+
+func TestResourceDeterminism(t *testing.T) {
+	run := func() ([]time.Duration, float64, float64) {
+		rng := rand.New(rand.NewSource(9))
+		loop := des.NewEventLoop()
+		link, gpu := &resource{loop: loop}, &resource{loop: loop}
+		var steps []step
+		for i := 0; i < 40; i++ {
+			// Millisecond-granular holds force hand-off ties.
+			s := step{d: time.Duration(rng.Intn(3)) * time.Millisecond}
+			switch rng.Intn(3) {
+			case 0:
+				s.res = link
+			case 1:
+				s.res = gpu
+			}
+			steps = append(steps, s)
+		}
+		turnaround := replay(loop, steps, 6, 500*time.Microsecond)
+		return turnaround, link.utilization(), gpu.utilization()
+	}
+	a, aLink, aGPU := run()
+	b, bLink, bGPU := run()
+	if aLink != bLink || aGPU != bGPU {
+		t.Fatalf("utilizations diverged: link %v/%v gpu %v/%v", aLink, bLink, aGPU, bGPU)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("client %d: %v vs %v", i, a[i], b[i])
+		}
 	}
 }

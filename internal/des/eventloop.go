@@ -1,3 +1,18 @@
+// Package des is a deterministic discrete-event engine: timed callbacks on
+// a virtual clock.
+//
+// The single global virtual clock of package vclock is enough for the
+// paper's strictly synchronous single-client executions, but studying
+// contention — several applications sharing one GPU server and one network
+// link, the paper's declared future work — and simulating 10^5–10^6 broker
+// sessions need genuinely concurrent virtual timelines. An EventLoop
+// provides them on one stack: a modeled thread of control is a chain of
+// callbacks, each scheduling the next, and the loop holds only a binary
+// heap of pending callbacks, so a million-session run is a few million
+// heap operations and no goroutines.
+//
+// Events fire in (time, schedule order), so two runs that schedule the
+// same callbacks produce identical timelines.
 package des
 
 import (
@@ -6,17 +21,7 @@ import (
 	"time"
 )
 
-// EventLoop is the package's second, goroutine-free execution model: timed
-// callbacks on a deterministic virtual clock. The coroutine Simulator above
-// gives each modeled thread of control its own stack, which reads naturally
-// but costs a goroutine per process — fine for a handful of contending
-// clients, prohibitive for the load generator's 10^5–10^6 simulated
-// sessions. An EventLoop holds only a binary heap of pending callbacks, so
-// a million-session run is a few million heap operations on one stack.
-//
-// Determinism matches the Simulator's: events fire in (time, schedule
-// order), so two runs that schedule the same callbacks produce identical
-// timelines.
+// EventLoop owns the pending callbacks and the virtual clock.
 type EventLoop struct {
 	now     time.Duration
 	events  timerHeap

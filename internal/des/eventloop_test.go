@@ -1,6 +1,7 @@
 package des
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -69,5 +70,115 @@ func TestEventLoopNegativeDelayClamps(t *testing.T) {
 	l.Run()
 	if at != time.Millisecond {
 		t.Fatalf("clamped event fired at %v, want 1ms", at)
+	}
+}
+
+// A modeled process is a callback chain: each hold schedules the next
+// stage, and stages land at the cumulative instants.
+func TestSingleProcessHolds(t *testing.T) {
+	l := NewEventLoop()
+	var at1, at2 time.Duration
+	l.At(5*time.Millisecond, func() {
+		at1 = l.Now()
+		l.At(3*time.Millisecond, func() { at2 = l.Now() })
+	})
+	end := l.Run()
+	if at1 != 5*time.Millisecond || at2 != 8*time.Millisecond {
+		t.Fatalf("holds landed at %v, %v", at1, at2)
+	}
+	if end != 8*time.Millisecond {
+		t.Fatalf("final time %v", end)
+	}
+}
+
+func TestProcessesInterleaveDeterministically(t *testing.T) {
+	l := NewEventLoop()
+	var order []string
+	l.At(0, func() {
+		order = append(order, "a") // t=0
+		l.At(10*time.Millisecond, func() { order = append(order, "a") })
+	})
+	l.At(0, func() {
+		order = append(order, "b") // t=0, after a: schedule order breaks the tie
+		l.At(5*time.Millisecond, func() { order = append(order, "b") })
+	})
+	l.Run()
+	want := []string{"a", "b", "b", "a"}
+	if len(order) != len(want) {
+		t.Fatalf("order %v", order)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order %v, want %v", order, want)
+		}
+	}
+}
+
+func TestStartOffsets(t *testing.T) {
+	l := NewEventLoop()
+	var started time.Duration
+	l.At(7*time.Millisecond, func() { started = l.Now() })
+	l.Run()
+	if started != 7*time.Millisecond {
+		t.Fatalf("late callback fired at %v", started)
+	}
+	// Negative offsets clamp to now.
+	l2 := NewEventLoop()
+	l2.At(-time.Second, func() { started = l2.Now() })
+	l2.Run()
+	if started != 0 {
+		t.Fatalf("negative offset fired at %v", started)
+	}
+}
+
+// A chain started from inside a running callback begins at its offset
+// from that instant.
+func TestSpawnDuringRun(t *testing.T) {
+	l := NewEventLoop()
+	var childAt time.Duration
+	l.At(5*time.Millisecond, func() {
+		l.At(3*time.Millisecond, func() { childAt = l.Now() })
+		l.At(time.Millisecond, func() {})
+	})
+	l.Run()
+	if childAt != 8*time.Millisecond {
+		t.Fatalf("child started at %v, want 8ms", childAt)
+	}
+}
+
+// Identically seeded schedules replay to identical timelines, ties and
+// all.
+func TestDeterminism(t *testing.T) {
+	type firing struct {
+		chain int
+		at    time.Duration
+	}
+	run := func() []firing {
+		rng := rand.New(rand.NewSource(42))
+		l := NewEventLoop()
+		var fired []firing
+		var step func(chain, left int)
+		step = func(chain, left int) {
+			fired = append(fired, firing{chain, l.Now()})
+			if left > 0 {
+				// Millisecond-granular delays force plenty of ties.
+				l.At(time.Duration(rng.Intn(4))*time.Millisecond, func() { step(chain, left-1) })
+			}
+		}
+		for i := 0; i < 10; i++ {
+			i := i
+			l.At(time.Duration(rng.Intn(4))*time.Millisecond, func() { step(i, 5) })
+		}
+		l.Run()
+		return fired
+	}
+	a, b := run(), run()
+	if len(a) != 60 || len(a) != len(b) {
+		t.Fatalf("fired %d and %d callbacks, want 60", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("runs diverged at callback %d: %+v vs %+v", i, a[i], b[i])
+		}
 	}
 }

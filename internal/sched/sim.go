@@ -1,11 +1,11 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
 
+	"rcuda/internal/des"
 	"rcuda/internal/stats"
 )
 
@@ -83,31 +83,6 @@ type SimResult struct {
 	Preemptions uint64
 }
 
-// simEvent is a heap entry: an op arrival or a service completion.
-type simEvent struct {
-	at  time.Duration
-	seq uint64 // deterministic tie-break for equal instants
-	// complete is true for a service completion of the running op;
-	// otherwise this is tenant's next arrival.
-	complete bool
-	tenant   *simTenant
-}
-
-type simEventHeap []simEvent
-
-func (h simEventHeap) Len() int { return len(h) }
-func (h simEventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h simEventHeap) Swap(i, j int)    { h[i], h[j] = h[j], h[i] }
-func (h *simEventHeap) Push(x any)      { *h = append(*h, x.(simEvent)) }
-func (h *simEventHeap) Pop() any        { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h *simEventHeap) push(e simEvent) { heap.Push(h, e) }
-func (h *simEventHeap) pop() simEvent   { return heap.Pop(h).(simEvent) }
-
 // simTenant is one tenant's live state. A closed-loop tenant keeps its
 // whole Backlog enqueued in the core — the deep async pipeline whose queue
 // depth is exactly what FIFO makes everyone else wait behind.
@@ -126,11 +101,53 @@ func Simulate(cfg SimConfig) *SimResult {
 		return &SimResult{Policy: cfg.Policy}
 	}
 	c := newCore(Config{Policy: cfg.Policy, ClassWeights: cfg.ClassWeights})
-	var evq simEventHeap
-	var evSeq uint64
-	schedule := func(at time.Duration, complete bool, t *simTenant) {
-		evq.push(simEvent{at: at, seq: evSeq, complete: complete, tenant: t})
-		evSeq++
+	loop := des.NewEventLoop()
+	var busy time.Duration
+	var running *op
+	var dispatch func()
+
+	// arrive schedules t's next open-loop op arrival. Arrivals past the
+	// window stop the tenant's stream; the queue then drains.
+	var arrive func(t *simTenant)
+	arrive = func(t *simTenant) {
+		loop.At(t.nextGap(), func() {
+			now := loop.Now()
+			if now > cfg.Duration {
+				return
+			}
+			c.enqueue(&t.flow, t.spec.OpCost, now)
+			arrive(t)
+			dispatch()
+		})
+	}
+	// dispatch grants the next op the device if it is idle, and schedules
+	// the op's completion.
+	dispatch = func() {
+		if running != nil {
+			return
+		}
+		o := c.pick()
+		if o == nil {
+			return
+		}
+		now := loop.Now()
+		t := o.f.owner.(*simTenant)
+		t.waits.Record(now - o.enqueuedAt)
+		t.served++
+		running = o
+		if now < cfg.Duration {
+			busy += min(t.spec.OpCost, cfg.Duration-now)
+		}
+		loop.At(t.spec.OpCost, func() {
+			c.charge(o, t.spec.OpCost)
+			running = nil
+			if t.spec.Backlog > 0 && loop.Now() < cfg.Duration {
+				// Closed loop: the pipeline refills instantly at the
+				// boundary.
+				c.enqueue(&t.flow, t.spec.OpCost, loop.Now())
+			}
+			dispatch()
+		})
 	}
 
 	tenants := make([]*simTenant, len(cfg.Tenants))
@@ -150,70 +167,14 @@ func Simulate(cfg SimConfig) *SimResult {
 			c.enqueue(&t.flow, spec.OpCost, 0)
 		}
 		if spec.MeanGap > 0 {
-			schedule(t.nextGap(), false, t)
-		}
-	}
-
-	var now time.Duration
-	var busy time.Duration
-	var running *simTenant
-	var runningOp *op
-
-	// start grants o the device at instant now.
-	start := func(o *op) {
-		t := o.f.owner.(*simTenant)
-		t.waits.Record(now - o.enqueuedAt)
-		t.served++
-		running = t
-		runningOp = o
-		end := now + t.spec.OpCost
-		if capped := cfg.Duration; now < capped {
-			w := t.spec.OpCost
-			if end > capped {
-				w = capped - now
-			}
-			busy += w
-		}
-		schedule(end, true, t)
-	}
-	// dispatch starts the next granted op if the device is idle.
-	dispatch := func() {
-		if running != nil {
-			return
-		}
-		if o := c.pick(); o != nil {
-			start(o)
+			arrive(t)
 		}
 	}
 
 	// Kick the device: a pure closed-loop mix has no arrival events, only
 	// the completion chain this first grant starts.
 	dispatch()
-
-	for evq.Len() > 0 {
-		ev := evq.pop()
-		now = ev.at
-		t := ev.tenant
-		if !ev.complete {
-			// Open-loop arrival of one op.
-			if now > cfg.Duration {
-				continue // arrival window over; stop generating
-			}
-			c.enqueue(&t.flow, t.spec.OpCost, now)
-			schedule(now+t.nextGap(), false, t)
-			dispatch()
-			continue
-		}
-		// Completion of t's running op.
-		c.charge(runningOp, t.spec.OpCost)
-		running = nil
-		runningOp = nil
-		if t.spec.Backlog > 0 && now < cfg.Duration {
-			// Closed loop: the pipeline refills instantly at the boundary.
-			c.enqueue(&t.flow, t.spec.OpCost, now)
-		}
-		dispatch()
-	}
+	loop.Run()
 
 	res := &SimResult{Policy: cfg.Policy}
 	classW := [NumClasses]*stats.DurationHistogram{}
