@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race verify lint vet chaos migrate-chaos soak bench bench-batch bench-scale bench-sched bench-check fuzz pool repro figures experiments clean help
+.PHONY: all build test race verify wallbench-test lint vet chaos migrate-chaos soak bench bench-batch bench-scale bench-sched bench-check fuzz pool repro figures experiments clean help
 
 all: build test
 
@@ -12,7 +12,8 @@ help:
 	@echo "  build        compile and vet everything"
 	@echo "  test         run all tests"
 	@echo "  race         run all tests under the race detector"
-	@echo "  verify       tier-1 gate: build + test + race on data path + chaos suite"
+	@echo "  verify       tier-1 gate: build + test + race on data path + chaos suite + wallbench self-test"
+	@echo "  wallbench-test  the wall-clock benchmark's own tests (a separate module outside ./...)"
 	@echo "  lint         go vet + rcuda-vet invariant analyzers + gofmt diff check"
 	@echo "  vet          rcuda-vet only: seededrand/wiremsg/locknet/errcode invariants"
 	@echo "  chaos        fault-injection suite (scripted + 50 seeded plans) under -race"
@@ -56,10 +57,16 @@ vet:
 # Tier-1 verification: full build + tests, the invariant analyzers, the
 # concurrent data-path packages (transport framing, middleware streaming +
 # batching, pool broker + its autoscaler, the scale harness, the full-stack
-# workloads) under the race detector, and the deterministic fault-injection
-# suite.
-verify: build test vet chaos
+# workloads) under the race detector, the deterministic fault-injection
+# suite, and the benchmark's self-test.
+verify: build test vet chaos wallbench-test
 	$(GO) test -race ./internal/transport/... ./internal/rcuda/... ./internal/broker/... ./internal/sched/... ./internal/loadgen/... ./internal/workload/...
+
+# wallbench is its own module (replace rcuda => ../), so ./... never builds
+# it: this is the only step that catches a change to the packages it
+# drives breaking the benchmark.
+wallbench-test:
+	$(GO) -C wallbench test -count=1 ./...
 
 # Chaos suite: every fault kind's transport semantics, the retry policy, and
 # the MM/FFT case studies under scripted and 50 consecutive seeded fault

@@ -282,7 +282,11 @@ func (c *Context) CopyToDevice(dst uint32, data []byte) error {
 	if err != nil {
 		return err
 	}
-	copy(region, data)
+	// data may already be the region itself: the rCUDA server receives
+	// host-to-device payloads straight into the Region it resolved.
+	if len(data) > 0 && &region[0] != &data[0] {
+		copy(region, data)
+	}
 	c.dev.sleep(c.dev.PCIeTime(int64(len(data))))
 	return nil
 }
@@ -291,6 +295,22 @@ func (c *Context) CopyToDevice(dst uint32, data []byte) error {
 // clock by the modeled PCIe transfer time. Like a default-stream
 // cudaMemcpy, it first waits out any pending asynchronous work.
 func (c *Context) CopyToHost(src uint32, size uint32) ([]byte, error) {
+	view, err := c.HostView(src, size)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, size)
+	copy(out, view)
+	return out, nil
+}
+
+// HostView is CopyToHost without the copy: the same synchronization,
+// checks and PCIe charge, returning the device region itself. The view
+// aliases device memory, so a later write to the allocation changes it.
+// The rCUDA server sends it as a reply from the session's handler
+// goroutine, the only goroutine that writes or frees the session's
+// allocations, so the reply cannot change while it is sent.
+func (c *Context) HostView(src uint32, size uint32) ([]byte, error) {
 	if err := c.Synchronize(); err != nil {
 		return nil, err
 	}
@@ -305,10 +325,8 @@ func (c *Context) CopyToHost(src uint32, size uint32) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, size)
-	copy(out, region)
 	c.dev.sleep(c.dev.PCIeTime(int64(size)))
-	return out, nil
+	return region, nil
 }
 
 // OwnedBytes returns the device bytes this context holds, charged at the

@@ -10,19 +10,20 @@ import "time"
 // to the synchronous path on the default stream or on a clock that cannot
 // jump (wall time), where overlap cannot be modeled.
 
-// ValidRegion reports whether [addr, addr+size) lies within a single live
-// device allocation, without touching the bytes. The chunked server
-// validates a whole transfer before acknowledging the Begin message.
-func (c *Context) ValidRegion(addr, size uint32) error {
+// Region returns the device bytes backing [addr, addr+size) — the range
+// check every copy applies — without touching them or the clock. The
+// chunked server validates a whole transfer with it before acknowledging
+// the Begin message, and the rCUDA server receives host-to-device payloads
+// straight into it before dispatching the copy.
+func (c *Context) Region(addr, size uint32) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.check(); err != nil {
-		return err
+		return nil, err
 	}
 	c.dev.mu.Lock()
-	_, err := c.dev.alloc.region(addr, size)
-	c.dev.mu.Unlock()
-	return err
+	defer c.dev.mu.Unlock()
+	return c.dev.alloc.region(addr, size)
 }
 
 // CopyToDeviceAsyncAt writes host data into device memory now and books
@@ -81,24 +82,12 @@ func (c *Context) CopyToHostAsyncAt(dst []byte, src uint32, stream uint32, notBe
 }
 
 // CopyToHostInto is CopyToHost reading into the caller's buffer instead of
-// a fresh allocation; the buffer's length selects the transfer size. It
-// lets the server serve device-to-host reads from pooled memory.
+// a fresh allocation; the buffer's length selects the transfer size.
 func (c *Context) CopyToHostInto(dst []byte, src uint32) error {
-	if err := c.Synchronize(); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.check(); err != nil {
-		return err
-	}
-	c.dev.mu.Lock()
-	region, err := c.dev.alloc.region(src, uint32(len(dst)))
-	c.dev.mu.Unlock()
+	view, err := c.HostView(src, uint32(len(dst)))
 	if err != nil {
 		return err
 	}
-	copy(dst, region)
-	c.dev.sleep(c.dev.PCIeTime(int64(len(dst))))
+	copy(dst, view)
 	return nil
 }

@@ -267,6 +267,32 @@ func (m *MemcpyToDeviceRequest) SegmentBulk() []byte { return m.Data }
 // SegmentTail implements Segmented.
 func (m *MemcpyToDeviceRequest) SegmentTail(dst []byte) []byte { return dst }
 
+// MemcpyToDeviceHeadSize is the length of the fixed fields that precede a
+// MemcpyToDeviceRequest's data on the wire.
+const MemcpyToDeviceHeadSize = 20
+
+// DecodeMemcpyToDeviceHead parses the head of an n-byte MemcpyToDeviceRequest
+// payload: the op, the kind, and a size that must account for exactly the
+// n-MemcpyToDeviceHeadSize data bytes. Data is left nil for the caller to
+// attach wherever the bulk landed. head may extend past the fixed fields.
+func DecodeMemcpyToDeviceHead(head []byte, n int) (*MemcpyToDeviceRequest, error) {
+	if len(head) < MemcpyToDeviceHeadSize || n < MemcpyToDeviceHeadSize {
+		return nil, ErrShortMessage
+	}
+	if Op(getU32(head, 0)) != OpMemcpyToDevice {
+		// A sentinel, not a formatted error: the server tries every
+		// incoming head, so this rejection sits on the per-call path.
+		return nil, ErrBadOp
+	}
+	if kind := getU32(head, 16); kind != KindHostToDevice {
+		return nil, fmt.Errorf("protocol: memcpy-to-device with kind %d", kind)
+	}
+	if size := int(getU32(head, 12)); n != MemcpyToDeviceHeadSize+size {
+		return nil, fmt.Errorf("protocol: memcpy size %d does not match payload %d", size, n-MemcpyToDeviceHeadSize)
+	}
+	return &MemcpyToDeviceRequest{Dst: getU32(head, 4), Src: getU32(head, 8)}, nil
+}
+
 // MemcpyToDeviceResponse carries only the result code (4 bytes).
 type MemcpyToDeviceResponse struct {
 	Err uint32
@@ -539,20 +565,15 @@ func DecodeRequest(b []byte) (Request, error) {
 		}
 		return &MallocRequest{Size: getU32(b, 4)}, nil
 	case OpMemcpyToDevice:
-		if len(b) < 20 {
-			return nil, ErrShortMessage
-		}
-		size := int(getU32(b, 12))
-		if kind := getU32(b, 16); kind != KindHostToDevice {
-			return nil, fmt.Errorf("protocol: memcpy-to-device with kind %d", kind)
-		}
-		if len(b) != 20+size {
-			return nil, fmt.Errorf("protocol: memcpy size %d does not match payload %d", size, len(b)-20)
+		r, err := DecodeMemcpyToDeviceHead(b, len(b))
+		if err != nil {
+			return nil, err
 		}
 		// Data aliases b so bulk payloads decode without a copy; the caller
 		// owns b until the request has been consumed (the server dispatches
 		// each request before the next Recv reuses the frame buffer).
-		return &MemcpyToDeviceRequest{Dst: getU32(b, 4), Src: getU32(b, 8), Data: b[20:]}, nil
+		r.Data = b[MemcpyToDeviceHeadSize:]
+		return r, nil
 	case OpMemcpyToHost:
 		if len(b) != 20 {
 			return nil, ErrShortMessage

@@ -193,7 +193,7 @@ func sendReady(conn transport.Conn, m protocol.Message, ready time.Duration) err
 func (s *Server) serveMemcpyStream(conn transport.Conn, sess *session, begin *protocol.MemcpyStreamBeginRequest) error {
 	ctx := sess.context()
 	dev := s.srvDevice(sess)
-	if err := ctx.ValidRegion(begin.Ptr, begin.Total); err != nil {
+	if _, err := ctx.Region(begin.Ptr, begin.Total); err != nil {
 		return conn.Send(&protocol.MemcpyStreamBeginResponse{Err: code(err)})
 	}
 	stream, err := ctx.StreamCreate()

@@ -202,33 +202,43 @@ func (c *Client) observe(op protocol.Op, sent, recv int) {
 // re-runs the whole request on a replacement connection when the
 // operation is idempotent.
 func (c *Client) roundTrip(req protocol.Request) ([]byte, error) {
+	payload, _, err := c.roundTripInto(req, 0, 0, nil)
+	return payload, err
+}
+
+// roundTripInto is roundTrip receiving the response through
+// transport.RecvInto: place may land the response's bulk segment, framed
+// by headLen and tailLen bytes, in the caller's memory. bulk is then the
+// placed slice and payload holds only the head and tail. A retried
+// exchange consults place afresh.
+func (c *Client) roundTripInto(req protocol.Request, headLen, tailLen int, place func(n int, head []byte) []byte) (payload, bulk []byte, err error) {
 	if c.closed.Load() {
-		return nil, cudart.ErrorInitialization
+		return nil, nil, cudart.ErrorInitialization
 	}
 	// Every synchronous exchange is a sync point for the batching layer:
 	// pending coalesced work must reach the server first so the wire keeps
 	// the program's call order, and a deferred batched-call failure surfaces
 	// here instead of the exchange running.
 	if err := c.syncPoint(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var payload []byte
-	err := c.runRetry(req.Op(), func() error {
+	err = c.runRetry(req.Op(), func() error {
+		// c.conn is read on every attempt: a reconnect replaces it.
 		if err := c.conn.Send(req); err != nil {
 			return fmt.Errorf("rcuda: %v send: %w", req.Op(), err)
 		}
-		p, err := c.conn.Recv()
+		p, b, err := transport.RecvInto(c.conn, headLen, tailLen, place)
 		if err != nil {
 			return fmt.Errorf("rcuda: %v recv: %w", req.Op(), err)
 		}
-		payload = p
+		payload, bulk = p, b
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	c.observe(req.Op(), req.WireSize(), len(payload))
-	return payload, nil
+	c.observe(req.Op(), req.WireSize(), len(payload)+len(bulk))
+	return payload, bulk, nil
 }
 
 // Malloc implements cudart.Runtime.
@@ -285,8 +295,9 @@ func (c *Client) MemcpyToDevice(dst cudart.DevicePtr, src []byte) error {
 	return cudart.Error(resp.Err).AsError()
 }
 
-// MemcpyToHost implements cudart.Runtime. The response payload is decoded
-// straight into dst, so the call allocates nothing for the data itself.
+// MemcpyToHost implements cudart.Runtime. The response's data is received
+// straight into dst, so the call allocates and copies nothing for the data
+// itself on a TCP connection.
 func (c *Client) MemcpyToHost(dst []byte, src cudart.DevicePtr) error {
 	if c.chunkThreshold > 0 && len(dst) >= c.chunkThreshold {
 		if err := c.syncPoint(); err != nil {
@@ -296,14 +307,26 @@ func (c *Client) MemcpyToHost(dst []byte, src cudart.DevicePtr) error {
 			return c.memcpyToHostChunked(dst, src)
 		})
 	}
-	payload, err := c.roundTrip(&protocol.MemcpyToHostRequest{
+	// A reply carrying exactly len(dst) data bytes lands them in dst; an
+	// error reply (or a malformed one) arrives whole and decodes below.
+	place := func(n int, _ []byte) []byte {
+		if n != len(dst)+4 {
+			return nil
+		}
+		return dst
+	}
+	payload, bulk, err := c.roundTripInto(&protocol.MemcpyToHostRequest{
 		Src:  uint32(src),
 		Size: uint32(len(dst)),
-	})
+	}, 0, 4, place)
 	if err != nil {
 		return err
 	}
-	errCode, err := protocol.DecodeMemcpyToHostResponseInto(payload, dst)
+	into := dst
+	if bulk != nil {
+		into = nil // the data already landed; payload is the result code
+	}
+	errCode, err := protocol.DecodeMemcpyToHostResponseInto(payload, into)
 	if cudaErr := cudart.Error(errCode).AsError(); cudaErr != nil {
 		return cudaErr
 	}

@@ -36,6 +36,7 @@ import (
 	"rcuda/internal/protocol"
 	"rcuda/internal/sched"
 	"rcuda/internal/transport"
+	"rcuda/internal/vclock"
 )
 
 // Server is the rCUDA daemon: it owns one or more devices and serves GPU
@@ -527,16 +528,35 @@ func (s *Server) serveSession(conn transport.Conn, withinConnCap bool) error {
 		s.releaseSession(sess, finalized)
 	}()
 
+	// A synchronous host-to-device copy lands its payload straight in the
+	// destination region. Any other frame — and a copy whose head or region
+	// does not check out, which dispatch then answers with the usual code —
+	// is received whole into a pooled buffer.
+	var h2d *protocol.MemcpyToDeviceRequest
+	place := func(n int, head []byte) []byte {
+		r, err := protocol.DecodeMemcpyToDeviceHead(head, n)
+		if err != nil {
+			return nil
+		}
+		region, err := sess.context().Region(r.Dst, uint32(n-protocol.MemcpyToDeviceHeadSize))
+		if err != nil {
+			return nil
+		}
+		r.Data, h2d = region, r
+		return region
+	}
 	for {
-		payload, err := conn.Recv()
+		payload, bulk, err := transport.RecvInto(conn, protocol.MemcpyToDeviceHeadSize, 0, place)
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, transport.ErrClosed) {
 				return nil // client went away; resources released by defer
 			}
 			return fmt.Errorf("rcuda: recv: %w", err)
 		}
-		req, err := protocol.DecodeRequest(payload)
-		if err != nil {
+		var req protocol.Request
+		if bulk != nil {
+			req = h2d
+		} else if req, err = protocol.DecodeRequest(payload); err != nil {
 			return fmt.Errorf("rcuda: malformed request: %w", err)
 		}
 		s.counters.requests.Add(1)
@@ -562,7 +582,7 @@ func (s *Server) serveSession(conn transport.Conn, withinConnCap bool) error {
 		}
 		t0 := clk.Now()
 		done, err := s.dispatch(conn, sess, req)
-		busy := clk.Now() - t0
+		busy := dispatchEnd(conn, clk, t0) - t0
 		if fl != nil {
 			s.queues[dev].Release(fl, busy)
 			s.costs[dev].Observe(kind, busy)
@@ -578,6 +598,19 @@ func (s *Server) serveSession(conn transport.Conn, withinConnCap bool) error {
 			return nil
 		}
 	}
+}
+
+// dispatchEnd returns the instant a dispatch that started at t0 released
+// the device. On a clock shared with the peer (the simulated pipe) that is
+// when the reply's transfer completed: by the time the handler reads the
+// clock, the client may already have charged its next request to it.
+func dispatchEnd(conn transport.Conn, clk vclock.Clock, t0 time.Duration) time.Duration {
+	if st, ok := conn.(transport.SendStamper); ok {
+		if sent := st.LastSendDone(); sent >= t0 {
+			return sent
+		}
+	}
+	return clk.Now()
 }
 
 // releaseSession runs when a connection ends. An unfinished durable
@@ -862,16 +895,11 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 		opErr := ctx.CopyToDevice(r.Dst, r.Data)
 		return false, conn.Send(&protocol.MemcpyToDeviceResponse{Err: code(opErr)})
 	case *protocol.MemcpyToHostRequest:
-		buf, _ := transport.GetBuffer(int(r.Size))
-		buf = buf[:r.Size]
-		opErr := ctx.CopyToHostInto(buf, r.Src)
-		if opErr != nil {
-			transport.PutBuffer(buf)
-			return false, conn.Send(&protocol.MemcpyToHostResponse{Err: code(opErr)})
-		}
-		sendErr := conn.Send(&protocol.MemcpyToHostResponse{Data: buf})
-		transport.PutBuffer(buf)
-		return false, sendErr
+		// The reply is gathered straight from device memory. Only this
+		// handler goroutine can free or write the session's allocations,
+		// and it is busy in Send until the bytes are out.
+		data, opErr := ctx.HostView(r.Src, r.Size)
+		return false, conn.Send(&protocol.MemcpyToHostResponse{Data: data, Err: code(opErr)})
 	case *protocol.LaunchRequest:
 		grid := gpu.Dim3{X: r.GridDim[0], Y: r.GridDim[1], Z: 1}
 		block := gpu.Dim3{X: r.BlockDim[0], Y: r.BlockDim[1], Z: r.BlockDim[2]}
@@ -946,10 +974,13 @@ func code(err error) uint32 {
 }
 
 func mapToCudaError(err error) error {
+	if err == nil {
+		// Before ce is declared: errors.As moves it to the heap, and the
+		// success path of every call must not pay that allocation.
+		return nil
+	}
 	var ce cudart.Error
 	switch {
-	case err == nil:
-		return nil
 	case errors.As(err, &ce):
 		return ce
 	case errors.Is(err, gpu.ErrOutOfMemory):

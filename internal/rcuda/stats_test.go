@@ -285,3 +285,54 @@ func TestStatsSnapshotRacesDrain(t *testing.T) {
 		}
 	}
 }
+
+// peerMovesFirst is a server pipe end on which the client always wins the
+// race for the shared clock: before Send returns, the client has taken
+// its reply and charged its next request's wire time.
+type peerMovesFirst struct {
+	*transport.PipeEnd
+	clk *vclock.Sim
+}
+
+func (c peerMovesFirst) Send(m protocol.Message) error {
+	err := c.PipeEnd.Send(m)
+	c.clk.Sleep(time.Millisecond)
+	return err
+}
+
+// TestBusyEndsAtReplyCompletion checks that a device's busy time — the
+// broker's least-loaded ranking key — ends each request at its reply's
+// completion stamp, so it does not depend on whether the handler or the
+// client next touches the shared clock first.
+func TestBusyEndsAtReplyCompletion(t *testing.T) {
+	busy := func(clientFirst bool) time.Duration {
+		clk := vclock.NewSim()
+		srv := NewServer(gpu.New(gpu.Config{Clock: clk}))
+		cliEnd, srvEnd := transport.Pipe(netsim.IB40G(), clk, nil)
+		var conn transport.Conn = srvEnd
+		if clientFirst {
+			conn = peerMovesFirst{srvEnd, clk}
+		}
+		done := make(chan error, 1)
+		go func() { done <- srv.ServeConn(conn) }()
+		client, err := Open(cliEnd, moduleImage(t, calib.MM))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			if err := client.DeviceSynchronize(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := client.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		return srv.StatsSnapshot().Devices[0].Busy
+	}
+	if handlerFirst, clientFirst := busy(false), busy(true); handlerFirst == 0 || clientFirst != handlerFirst {
+		t.Fatalf("busy %v when the handler reads the clock first, %v when the client moves first", handlerFirst, clientFirst)
+	}
+}

@@ -153,6 +153,16 @@ func (f *FaultyConn) Recv() ([]byte, error) {
 	return f.inner.Recv()
 }
 
+// recvInto is RecvInto's native form, so RecvInto over a faulty TCP
+// connection still lands bulk payloads in place: the receive fault applies
+// first, then the inner connection receives as RecvInto would.
+func (f *FaultyConn) recvInto(headLen, tailLen int, place func(n int, head []byte) []byte) ([]byte, []byte, error) {
+	if handled, err := f.recvFaulted(f.plan.Next(faults.DirRecv)); handled {
+		return nil, nil, err
+	}
+	return RecvInto(f.inner, headLen, tailLen, place)
+}
+
 // Close implements Conn.
 func (f *FaultyConn) Close() error { return f.inner.Close() }
 

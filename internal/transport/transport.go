@@ -48,6 +48,59 @@ type Conn interface {
 	Stats() Stats
 }
 
+// RecvInto receives the next frame like c.Recv, but lets the caller name
+// the memory a frame's bulk segment lands in. A frame of n payload bytes is
+// laid out as headLen head bytes, a bulk segment, and tailLen tail bytes.
+// For a frame of at least headLen+tailLen bytes, RecvInto calls place with
+// n and the head (valid only during the call). place returns nil to receive
+// the frame whole, or a slice of exactly n-headLen-tailLen bytes; the bulk
+// segment is then written there and returned as bulk, and frame holds only
+// the head followed by the tail. A nil place receives every frame whole.
+// frame follows the Recv lifetime contract. headLen must be small: a TCP
+// connection peeks the head from its 64 KiB read buffer.
+//
+// A TCPConn, bare or under a FaultyConn, reads the bulk segment from the
+// socket straight into the placed slice, after checking the frame against
+// protocol.MaxFrameSize. Every other Conn — wrappers that embed Conn
+// included — receives the frame whole and copies the bulk into the placed
+// slice, so callers keep a single code path. A receive that fails after
+// place accepted may have written any prefix of the placed slice.
+func RecvInto(c Conn, headLen, tailLen int, place func(n int, head []byte) []byte) (frame, bulk []byte, err error) {
+	if place == nil {
+		p, err := c.Recv()
+		return p, nil, err
+	}
+	// A type switch rather than an interface: escape analysis can see
+	// through these calls, so a place closure stays on the caller's stack.
+	switch c := c.(type) {
+	case *TCPConn:
+		return c.recvInto(headLen, tailLen, place)
+	case *FaultyConn:
+		return c.recvInto(headLen, tailLen, place)
+	}
+	p, err := c.Recv()
+	if err != nil || len(p) < headLen+tailLen {
+		return p, nil, err
+	}
+	if bulk = place(len(p), p[:headLen]); bulk == nil {
+		return p, nil, nil
+	}
+	if err := checkPlaced(bulk, len(p), headLen, tailLen); err != nil {
+		return nil, nil, err
+	}
+	copy(bulk, p[headLen:len(p)-tailLen])
+	copy(p[headLen:], p[len(p)-tailLen:])
+	return p[:headLen+tailLen], bulk, nil
+}
+
+// checkPlaced rejects a placed slice that cannot hold the frame's bulk.
+func checkPlaced(bulk []byte, n, headLen, tailLen int) error {
+	if want := n - headLen - tailLen; len(bulk) != want {
+		return fmt.Errorf("transport: placed %d bytes for a %d-byte bulk segment", len(bulk), want)
+	}
+	return nil
+}
+
 // TimedReceiver is implemented by connections that can report when each
 // message arrived on the connection's clock. The chunked-memcpy server
 // books PCIe pushes at the chunk's arrival instant so network and PCIe
@@ -74,6 +127,17 @@ type ScheduledSender interface {
 	// SendAt advances the connection's clock to notBefore (never backwards)
 	// and then sends as usual.
 	SendAt(m protocol.Message, notBefore time.Duration) error
+}
+
+// SendStamper is implemented by connections whose sends complete at a
+// modeled instant on a clock they share with their peer. Once a message is
+// delivered the peer may advance that clock itself, so reading the clock
+// after Send returns can observe the peer's next move; the stamp cannot.
+// The rCUDA server ends a request's busy interval at it.
+type SendStamper interface {
+	// LastSendDone returns the instant the latest send's transfer
+	// completed.
+	LastSendDone() time.Duration
 }
 
 // Stats counts a connection's traffic in Table I payload bytes, plus the
@@ -223,8 +287,70 @@ func (t *TCPConn) Send(m protocol.Message) error {
 // Recv implements Conn. The payload is read into a pooled buffer that is
 // recycled on the next Recv — see the Conn contract.
 func (t *TCPConn) Recv() ([]byte, error) {
-	if err := t.armDeadline(t.c.SetReadDeadline); err != nil {
+	n, err := t.peekFrameLen()
+	if err != nil {
 		return nil, err
+	}
+	return t.readPayload(n)
+}
+
+// recvInto is RecvInto's native form: the bulk bytes go from the socket
+// (or bufio's buffer) straight into the placed slice.
+func (t *TCPConn) recvInto(headLen, tailLen int, place func(n int, head []byte) []byte) ([]byte, []byte, error) {
+	n, err := t.peekFrameLen()
+	if err != nil {
+		return nil, nil, err
+	}
+	if n < headLen+tailLen {
+		p, err := t.readPayload(n)
+		return p, nil, err
+	}
+	// Only now peek the head: the frame is known to hold headLen bytes, so
+	// the peek cannot wait on bytes the peer never promised.
+	hdr, err := t.br.Peek(frameHeaderSize + headLen)
+	if err != nil {
+		if isStreamEnd(err) {
+			return nil, nil, fmt.Errorf("%w: %d of %d payload bytes",
+				ErrTruncatedFrame, t.br.Buffered()-frameHeaderSize, n)
+		}
+		return nil, nil, err
+	}
+	bulk := place(n, hdr[frameHeaderSize:])
+	if bulk == nil {
+		p, err := t.readPayload(n)
+		return p, nil, err
+	}
+	if err := checkPlaced(bulk, n, headLen, tailLen); err != nil {
+		return nil, nil, err
+	}
+	buf, hit := GetBuffer(headLen + tailLen)
+	t.onPool(hit)
+	buf = append(buf, hdr[frameHeaderSize:]...)[:headLen+tailLen]
+	if _, err := t.br.Discard(frameHeaderSize + headLen); err != nil {
+		PutBuffer(buf)
+		return nil, nil, err
+	}
+	// ReadFull into a slice larger than bufio's buffer drains what is
+	// buffered and then reads the socket directly, with no staging copy.
+	if err := t.readFull(bulk, headLen, n); err != nil {
+		PutBuffer(buf)
+		return nil, nil, err
+	}
+	if err := t.readFull(buf[headLen:], n-tailLen, n); err != nil {
+		PutBuffer(buf)
+		return nil, nil, err
+	}
+	t.lastRecv = buf
+	t.onRecv(n)
+	return buf, bulk, nil
+}
+
+// peekFrameLen arms the read deadline, recycles the previous payload, and
+// returns the next frame's validated payload length, leaving the length
+// prefix unconsumed.
+func (t *TCPConn) peekFrameLen() (int, error) {
+	if err := t.armDeadline(t.c.SetReadDeadline); err != nil {
+		return 0, err
 	}
 	if t.lastRecv != nil {
 		PutBuffer(t.lastRecv)
@@ -238,30 +364,43 @@ func (t *TCPConn) Recv() ([]byte, error) {
 		// A clean close lands exactly between frames and surfaces as io.EOF
 		// with nothing buffered; a close inside the header is a truncation.
 		if got := t.br.Buffered(); got > 0 && isStreamEnd(err) {
-			return nil, fmt.Errorf("%w: %d of %d header bytes", ErrTruncatedFrame, got, frameHeaderSize)
+			return 0, fmt.Errorf("%w: %d of %d header bytes", ErrTruncatedFrame, got, frameHeaderSize)
 		}
-		return nil, err
+		return 0, err
 	}
 	n := int(binary.LittleEndian.Uint32(hdr))
 	if n > protocol.MaxFrameSize {
-		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit %d", n, protocol.MaxFrameSize)
+		return 0, fmt.Errorf("transport: frame of %d bytes exceeds limit %d", n, protocol.MaxFrameSize)
 	}
+	return n, nil
+}
+
+// readPayload consumes the length prefix of an n-byte frame and reads its
+// payload into a pooled buffer.
+func (t *TCPConn) readPayload(n int) ([]byte, error) {
 	if _, err := t.br.Discard(frameHeaderSize); err != nil {
 		return nil, err
 	}
 	buf, hit := GetBuffer(n)
 	t.onPool(hit)
 	buf = buf[:n]
-	if got, err := io.ReadFull(t.br, buf); err != nil {
+	if err := t.readFull(buf, 0, n); err != nil {
 		PutBuffer(buf)
-		if isStreamEnd(err) {
-			return nil, fmt.Errorf("%w: %d of %d payload bytes", ErrTruncatedFrame, got, n)
-		}
 		return nil, err
 	}
 	t.lastRecv = buf
 	t.onRecv(n)
 	return buf, nil
+}
+
+// readFull fills p from the stream. done counts the frame's n payload bytes
+// that precede p, so a truncation reports how far into the frame it struck.
+func (t *TCPConn) readFull(p []byte, done, n int) error {
+	got, err := io.ReadFull(t.br, p)
+	if err != nil && isStreamEnd(err) {
+		return fmt.Errorf("%w: %d of %d payload bytes", ErrTruncatedFrame, done+got, n)
+	}
+	return err
 }
 
 // Close implements Conn.
@@ -362,6 +501,9 @@ type PipeEnd struct {
 	peer      *PipeEnd
 	lastRecv  []byte       // previous Recv's pooled payload, recycled on the next Recv
 	opTimeout atomic.Int64 // nanoseconds; 0 disables deadlines
+	// lastSendDone is the clock instant the latest Send's transfer
+	// completed, in nanoseconds (see SendStamper).
+	lastSendDone atomic.Int64
 }
 
 var (
@@ -369,7 +511,11 @@ var (
 	_ TimedReceiver   = (*PipeEnd)(nil)
 	_ ScheduledSender = (*PipeEnd)(nil)
 	_ DeadlineCapable = (*PipeEnd)(nil)
+	_ SendStamper     = (*PipeEnd)(nil)
 )
+
+// LastSendDone implements SendStamper.
+func (p *PipeEnd) LastSendDone() time.Duration { return time.Duration(p.lastSendDone.Load()) }
 
 // SetOpTimeout implements DeadlineCapable. The simulated clock only
 // advances while a peer is actively sending, so a stalled peer would block
@@ -429,12 +575,14 @@ func (p *PipeEnd) Send(m protocol.Message) error {
 	default:
 	}
 	p.clock.Sleep(wire)
+	at := p.clock.Now()
+	p.lastSendDone.Store(int64(at))
 	expired, timer := p.opDeadline()
 	if timer != nil {
 		defer timer.Stop()
 	}
 	select {
-	case p.out <- pipeMsg{payload: payload, at: p.clock.Now()}:
+	case p.out <- pipeMsg{payload: payload, at: at}:
 		p.onSend(len(payload))
 		return nil
 	case <-p.done:
